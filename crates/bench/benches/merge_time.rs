@@ -15,10 +15,8 @@
 //!   scratch-reuse regression that extra cores would mask. This group is
 //!   gated by `bench_guard`.
 //!
-//! The deep-condition-nest walk trajectory is measured twice as well:
-//! `merge_walk/*` pinned to one thread (gated) and `merge_walk_par/*` at
-//! four threads — the speculative transactional walk, reported for
-//! information only (its median depends on the runner's core count).
+//! The deep-condition-nest walk trajectory is measured by `merge_walk/*`,
+//! pinned to one thread and gated.
 
 #![forbid(unsafe_code)]
 
@@ -68,8 +66,8 @@ fn bench_group(c: &mut Criterion, group_name: &str, threads: usize) {
 // group/bucket maintenance.
 const WALK_DEPTHS: [usize; 4] = [16, 24, 32, 40];
 
-fn merge_walk_group(c: &mut Criterion, group_name: &str, threads: usize) {
-    let mut group = c.benchmark_group(group_name);
+fn merge_walk_group(c: &mut Criterion) {
+    let mut group = c.benchmark_group("merge_walk");
     group.sample_size(10);
     for &paths in &WALK_DEPTHS {
         let config = GeneratorConfig::new(3 * paths, paths)
@@ -77,11 +75,9 @@ fn merge_walk_group(c: &mut Criterion, group_name: &str, threads: usize) {
             .with_buses(1)
             .with_seed(0xDEE9 + paths as u64);
         let system = generate(&config);
-        // At one thread the walk is fully serial and the median is
-        // core-count-independent, so that group can be gated like
-        // schedule_merging_serial/*; larger counts run the speculative
-        // transactional walk on the same systems (info-only).
-        let merge_config = MergeConfig::new(system.broadcast_time()).with_threads(threads);
+        // At one thread the median is core-count-independent, so the group
+        // can be gated like schedule_merging_serial/*.
+        let merge_config = MergeConfig::new(system.broadcast_time()).with_threads(1);
         group.bench_with_input(BenchmarkId::from_parameter(paths), &system, |b, system| {
             b.iter(|| generate_schedule_table(system.cpg(), system.arch(), &merge_config));
         });
@@ -195,8 +191,7 @@ fn merge_time(c: &mut Criterion) {
     // 0 = the automatic choice (available parallelism).
     bench_group(c, "schedule_merging", 0);
     bench_group(c, "schedule_merging_serial", 1);
-    merge_walk_group(c, "merge_walk", 1);
-    merge_walk_group(c, "merge_walk_par", 4);
+    merge_walk_group(c);
     merge_rewalk_group(c);
 }
 

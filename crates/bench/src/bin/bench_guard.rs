@@ -8,8 +8,8 @@
 //! one-thread-pinned merge trajectories, whose cost is
 //! core-count-independent) regresses by
 //! more than the allowed percentage; the default-parallelism
-//! `schedule_merging/*` and speculative-walk `merge_walk_par/*` groups are
-//! reported for information (see `GATED_PREFIXES`).
+//! `schedule_merging/*` group is reported for information (see
+//! `GATED_PREFIXES`).
 //!
 //! A gated group must be *present* on both sides: a gated prefix with no row
 //! in the current measurement means the bench run was misconfigured, and one
@@ -66,14 +66,12 @@ use std::process::ExitCode;
 /// (`merge_walk/`, where the sequential decision-tree walk dominates) and
 /// the incremental re-merge trajectory (`merge_rewalk/`, whose `warm/*`
 /// rows hold the session's cached-replay speedup and whose `cold/*` rows
-/// anchor the ratio): the
-/// default-parallelism `schedule_merging/` group and the speculative
-/// `merge_walk_par/` group scale with the runner's core count, which neither
-/// calibration probe (both single-threaded) can normalize out — gating them
-/// would fail spuriously on any runner with fewer cores than the baseline
-/// machine, exactly the hardware dependence the calibration exists to
-/// prevent. The parallel medians are still measured, reported and recorded
-/// in every baseline.
+/// anchor the ratio): the default-parallelism `schedule_merging/` group
+/// scales with the runner's core count, which neither calibration probe
+/// (both single-threaded) can normalize out — gating it would fail
+/// spuriously on any runner with fewer cores than the baseline machine,
+/// exactly the hardware dependence the calibration exists to prevent. Its
+/// medians are still measured, reported and recorded in every baseline.
 const GATED_PREFIXES: &[&str] = &["schedule_merging_serial/", "merge_walk/", "merge_rewalk/"];
 
 /// The code-stable compute-bound calibration benchmark used to normalize out

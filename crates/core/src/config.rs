@@ -146,10 +146,10 @@ pub enum SelectionPolicy {
 pub struct MergeConfig {
     broadcast_time: Time,
     selection: SelectionPolicy,
-    /// Worker threads for the parallel phases of the merge (per-track
-    /// context construction + initial path schedules, the speculative
-    /// decision-tree walk, and the final realizability sweep). `None` means
-    /// "decide at run time"; the precedence is
+    /// Worker threads for the per-track phases of the merge (context
+    /// construction + initial path schedules, and the final realizability
+    /// sweep); the decision-tree walk always runs on the calling thread.
+    /// `None` means "decide at run time"; the precedence is
     ///
     /// | source                        | wins when                        |
     /// |-------------------------------|----------------------------------|
@@ -204,7 +204,7 @@ impl MergeConfig {
         self
     }
 
-    /// The explicitly configured worker-thread count of the parallel merge
+    /// The explicitly configured worker-thread count of the per-track merge
     /// phases, or `None` when the count is decided at run time (see
     /// [`effective_threads`](Self::effective_threads)).
     #[must_use]
@@ -213,10 +213,12 @@ impl MergeConfig {
     }
 
     /// Returns the configuration with a fixed worker-thread count for the
-    /// parallel merge phases. `1` forces the fully serial path (no worker
-    /// threads are spawned); `0` restores the automatic choice. The merge
-    /// result is bit-identical for every thread count — this knob trades
-    /// wall-clock for cores only.
+    /// per-track merge phases (initial path schedules and the realizability
+    /// sweep; the decision-tree walk always runs on the calling thread). `1`
+    /// runs the whole merge on the calling thread (no worker threads are
+    /// spawned); `0` restores the automatic choice. The merge result is
+    /// bit-identical for every thread count — this knob trades wall-clock
+    /// for cores only.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = NonZeroUsize::new(threads);

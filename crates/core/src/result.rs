@@ -69,9 +69,9 @@ pub struct MergeStats {
 }
 
 impl MergeStats {
-    /// Folds the counters of another partial into this one. The parallel walk
-    /// accumulates per-subtree partials and merges them in tree order, so the
-    /// totals are identical to a serial walk for every thread count.
+    /// Folds the counters of another partial into this one. A session replay
+    /// absorbs the cached per-segment partials of every chain it splices, so
+    /// the totals are identical to a cold walk's.
     pub(crate) fn absorb(&mut self, other: MergeStats) {
         self.tree_nodes += other.tree_nodes;
         self.adjustments += other.adjustments;
@@ -79,8 +79,8 @@ impl MergeStats {
         self.unrepaired_conflicts += other.unrepaired_conflicts;
         self.slip_repairs += other.slip_repairs;
         self.lock_slips += other.lock_slips;
-        // Depth is a maximum, not a sum: absorbing subtree partials in any
-        // order reconstructs the same value as a serial walk.
+        // Depth is a maximum, not a sum: absorbing partials in any order
+        // reconstructs the same value as a cold walk.
         self.max_walk_depth = self.max_walk_depth.max(other.max_walk_depth);
         self.repair_rounds += other.repair_rounds;
     }
@@ -136,7 +136,6 @@ pub struct MergeResult {
     pub(crate) delta_max: Time,
     pub(crate) steps: Vec<MergeStep>,
     pub(crate) stats: MergeStats,
-    pub(crate) spec_discards: usize,
 }
 
 impl MergeResult {
@@ -223,17 +222,12 @@ impl MergeResult {
         self.stats
     }
 
-    /// Speculative subtree validations that failed and forced a re-run
-    /// against the live table.
-    ///
-    /// Unlike [`stats`](Self::stats) this is **scheduling-dependent**: it is
-    /// always 0 at one thread and varies with the interleaving at higher
-    /// thread counts, so it is deliberately kept out of [`MergeStats`] and
-    /// excluded from the bit-identity contract the differential suites
-    /// check.
+    /// Speculative decision-tree subtrees discarded and re-run. Always 0:
+    /// the walk runs on the calling thread at every thread count and never
+    /// speculates. Kept so callers that report the count keep compiling.
     #[must_use]
     pub fn spec_discards(&self) -> usize {
-        self.spec_discards
+        0
     }
 
     /// Whether the table honours requirement 2 (see the type-level docs).
@@ -306,7 +300,6 @@ mod tests {
             delta_max: Time::new(107),
             steps: Vec::new(),
             stats: MergeStats::default(),
-            spec_discards: 0,
         };
         assert!((result.overhead_percent() - 7.0).abs() < 1e-9);
         assert!(!result.is_zero_overhead());
@@ -325,7 +318,6 @@ mod tests {
             delta_max: Time::ZERO,
             steps: Vec::new(),
             stats: MergeStats::default(),
-            spec_discards: 0,
         };
         assert_eq!(result.overhead_percent(), 0.0);
         assert!(result.is_zero_overhead());

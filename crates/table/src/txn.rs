@@ -1,16 +1,14 @@
-//! Optimistic write transactions over a [`ScheduleTable`].
+//! Recorded write transactions over a [`ScheduleTable`].
 //!
-//! The parallel decision-tree walk of the `cpg-merge` crate runs sibling
-//! subtrees speculatively: each subtree buffers its `place`/`repair_slip`
-//! writes in a [`TableTxn`] layered over a frozen base view, together with a
-//! read set over per-row write versions. When the subtrees join, the logs are
-//! committed *in tree order*: the forward subtree's log first (its snapshot
-//! was, by construction, exactly the state the serial walk would have seen,
-//! so it commits unconditionally), then the back subtree's log — but only
-//! after [`TxnLog::validate`] proves the speculation read nothing the forward
-//! subtree changed. A back log that fails validation is discarded wholesale
-//! and its branch re-runs non-speculatively against the updated table, which
-//! keeps the merge output bit-identical to the serial walk.
+//! The incremental re-merge of the `cpg-merge` crate (`MergeSession`) caches
+//! the decision tree of its last merge. Every forward chain of that tree is
+//! recorded as one [`TableTxn`] layered over the table as it stood at the
+//! chain's entry: the chain's `place`/`repair_slip` writes land in the
+//! overlay together with a read set, and the detached [`TxnLog`] is spliced
+//! into the table. A later merge replays a cached chain only after
+//! [`TxnLog::validate`] proves that every read the chain made would observe
+//! the same content in the partially rebuilt table, so the spliced writes
+//! are exactly the writes a fresh walk would make.
 //!
 //! Two ingredients make the validation sound:
 //!
@@ -19,62 +17,37 @@
 //!   value it observed; a row scan ([`TableView::for_each_keyed_entry_on`])
 //!   records an order-sensitive FNV fingerprint of the full keyed entry list.
 //!   [`TxnLog::validate`] re-probes the base and succeeds only if every
-//!   recorded observation would be reproduced verbatim. This is strictly
-//!   finer than the earlier per-row write counters: a sibling that rewrites a
-//!   cell with the same value, or writes a *different* cell of a row this
-//!   transaction only point-probed, no longer discards the speculation —
-//!   which matters because every forward subtree writes the resolved
-//!   condition's broadcast row, a row the back branch's rule-3 scan always
-//!   touches. Entry additions to a scanned row still invalidate (the
-//!   fingerprint covers keys, so ordering changes are caught too).
+//!   recorded observation would be reproduced verbatim. Rewriting a cell
+//!   with the same value, or writing a *different* cell of a row the
+//!   transaction only point-probed, therefore does not invalidate a log;
+//!   entry additions to a scanned row do (the fingerprint covers keys, so
+//!   ordering changes are caught too).
 //! * **Column-creation tracking**: a transaction that creates a column keys
-//!   it past the base's column bound, preserving the relative entry order the
-//!   serial walk would produce. If a sibling committed the *same* column cube
-//!   first, the global column order (and hence row-entry iteration order)
-//!   would differ from the speculation's view, so [`TxnLog::validate`] also
-//!   fails when any transaction-created column already exists in the base.
+//!   it past the base's column bound, preserving the relative entry order a
+//!   write-by-write replay would produce. If the base has meanwhile gained
+//!   the *same* column cube, the global column order (and hence row-entry
+//!   iteration order) would differ from what the transaction saw, so
+//!   [`TxnLog::validate`] also fails when any transaction-created column
+//!   already exists in the base.
 //!
-//! Transactions nest: a [`TableTxn`] implements [`TableView`] itself, so a
-//! deeper fork inside a speculative subtree simply layers further
-//! transactions over it. Reads are recorded through a mutex because sibling
-//! child transactions read through a shared `&TableTxn` from their worker
-//! threads; the overlay rows themselves are only written through `&mut self`
-//! and are therefore frozen while shared.
+//! A [`TableTxn`] implements [`TableView`] itself, so transactions nest.
 //!
 //! A validated log is normally replayed with [`TableView::splice_log`]:
 //! [`ScheduleTable`] overrides the write-by-write default with *column
 //! splicing* — every distinct column cube of the log is grafted
 //! (found-or-appended, renumbering the transaction-local keys past the
 //! table's current column bound) exactly once, then the cells are written by
-//! direct column index in chronological order, preserving the serial entry
-//! order inside every row.
+//! direct column index in chronological order, preserving the write order
+//! inside every row.
 
+use std::cell::{RefCell, RefMut};
 use std::hash::Hash;
-use std::sync::Mutex;
 
 use cpg::{Cube, FrontierHasher};
 use cpg_arch::{PeId, Time};
 use cpg_path_sched::Job;
 
-use crate::race_hooks;
 use crate::ScheduleTable;
-
-/// Race-check commit boundary: a schedulable yield at the commit, plus the
-/// protocol check the vector clocks cannot express — a log being committed
-/// must still validate against the view it is committed into (commits are
-/// always join-ordered, so a "back committed without validation" bug is
-/// invisible to happens-before alone). Compiles to nothing without the
-/// `race-check` feature and costs one thread-local read outside an active
-/// exploration.
-fn commit_hook<V: TableView + ?Sized>(view: &V, log: &TxnLog, site: &'static str) {
-    if !race_hooks::active() {
-        return;
-    }
-    race_hooks::yield_commit();
-    if !log.holds_against(view) {
-        race_hooks::stale_commit(site);
-    }
-}
 
 /// Order-sensitive FNV-1a fingerprint of the keyed entry list of one row.
 ///
@@ -94,12 +67,12 @@ pub fn row_fingerprint<V: TableView + ?Sized>(view: &V, job: Job) -> u64 {
 }
 
 /// The table operations the merge walk needs, abstracted so the walk can run
-/// against the real [`ScheduleTable`] or a speculative [`TableTxn`] overlay.
+/// against the real [`ScheduleTable`] or a recording [`TableTxn`] overlay.
 ///
 /// The trait is object-safe ([`TableTxn`] holds its base as
-/// `&dyn TableView + Sync`, so arbitrarily deep nesting monomorphizes to a
-/// single transaction type) and deliberately excludes `remove`: the walk only
-/// ever adds or overwrites activation times.
+/// `&dyn TableView`, so nesting monomorphizes to a single transaction type)
+/// and deliberately excludes `remove`: the walk only ever adds or overwrites
+/// activation times.
 pub trait TableView {
     /// The activation time of `job` in the column headed exactly by `column`.
     fn get(&self, job: Job, column: &Cube) -> Option<Time>;
@@ -122,7 +95,7 @@ pub trait TableView {
     /// Visits the `(key, column, time, resource)` entries of the row of
     /// `job`, ordered by `key` — a view-wide stand-in for the column
     /// insertion index, chosen so that the iteration order matches what the
-    /// serial walk would observe on the real table.
+    /// walk would observe on the real table.
     fn for_each_keyed_entry_on(
         &self,
         job: Job,
@@ -201,14 +174,13 @@ pub trait TableView {
     /// writes), so both the cold walk and an incremental re-merge replaying
     /// cached logs take the fast path on the real table.
     fn splice_log(&mut self, log: &TxnLog) {
-        commit_hook(self, log, "TableView::splice_log");
         for write in &log.writes {
             self.set_on(write.job, write.column, write.time, write.resource);
         }
     }
 }
 
-// The impl methods are `#[inline]`: the serial walk is monomorphized over
+// The impl methods are `#[inline]`: the walk is monomorphized over
 // `V = ScheduleTable`, and without cross-crate inlining every row probe of
 // its hot loops would pay an opaque call plus a virtual visitor dispatch per
 // entry (the closures devirtualize once the scan is inlined to where the
@@ -216,13 +188,11 @@ pub trait TableView {
 impl TableView for ScheduleTable {
     #[inline]
     fn get(&self, job: Job, column: &Cube) -> Option<Time> {
-        race_hooks::read_cell(job, column, "ScheduleTable::get");
         ScheduleTable::get(self, job, column)
     }
 
     #[inline]
     fn resource(&self, job: Job, column: &Cube) -> Option<PeId> {
-        race_hooks::read_cell(job, column, "ScheduleTable::resource");
         ScheduleTable::resource(self, job, column)
     }
 
@@ -234,12 +204,6 @@ impl TableView for ScheduleTable {
         time: Time,
         resource: Option<PeId>,
     ) -> Option<Time> {
-        if race_hooks::active() {
-            if self.column_position(&column).is_none() {
-                race_hooks::write_columns("ScheduleTable::set_on");
-            }
-            race_hooks::write_cell(job, &column, "ScheduleTable::set_on");
-        }
         ScheduleTable::set_on(self, job, column, time, resource)
     }
 
@@ -249,13 +213,9 @@ impl TableView for ScheduleTable {
         job: Job,
         visit: &mut dyn FnMut(u64, Cube, Time, Option<PeId>),
     ) {
-        race_hooks::read_row(job, "ScheduleTable::for_each_keyed_entry_on");
         self.visit_keyed_entries(job, visit);
     }
 
-    // The index-served scans report the same row-level read the linear scan
-    // did: which entries qualify is a function of the whole row, so the race
-    // detector's dependency is the row, not the visited subset.
     #[inline]
     fn for_each_compatible_entry_on(
         &self,
@@ -263,7 +223,6 @@ impl TableView for ScheduleTable {
         probe: &Cube,
         visit: &mut dyn FnMut(u64, Cube, Time, Option<PeId>),
     ) {
-        race_hooks::read_row(job, "ScheduleTable::for_each_compatible_entry_on");
         self.visit_compatible_entries(job, probe, visit);
     }
 
@@ -274,52 +233,31 @@ impl TableView for ScheduleTable {
         time: Time,
         visit: &mut dyn FnMut(u64, Cube, Option<PeId>),
     ) {
-        race_hooks::read_row(job, "ScheduleTable::for_each_entry_at_on");
         self.visit_entries_at(job, time, visit);
     }
 
     #[inline]
     fn row_version(&self, job: Job) -> u64 {
-        race_hooks::read_row(job, "ScheduleTable::row_version");
         ScheduleTable::row_version(self, job)
     }
 
     #[inline]
     fn has_column(&self, column: &Cube) -> bool {
-        race_hooks::read_columns("ScheduleTable::has_column");
         self.column_position(column).is_some()
     }
 
     #[inline]
     fn column_key(&self, column: &Cube) -> Option<u64> {
-        race_hooks::read_columns("ScheduleTable::column_key");
         self.column_position(column).map(|index| index as u64)
     }
 
     #[inline]
     fn column_bound(&self) -> u64 {
-        race_hooks::read_columns("ScheduleTable::column_bound");
         self.num_columns() as u64
     }
 
     #[inline]
     fn splice_log(&mut self, log: &TxnLog) {
-        commit_hook(self, log, "ScheduleTable::splice_log");
-        if race_hooks::active() {
-            // splice_writes bypasses set_on, so the detector's write records
-            // are produced here: one column-structure write when any fresh
-            // column is grafted, and a cell write per log entry.
-            if log
-                .new_columns
-                .iter()
-                .any(|column| self.column_position(column).is_none())
-            {
-                race_hooks::write_columns("ScheduleTable::splice_log");
-            }
-            for write in &log.writes {
-                race_hooks::write_cell(write.job, &write.column, "ScheduleTable::splice_log");
-            }
-        }
         self.splice_writes(&log.writes);
     }
 }
@@ -401,7 +339,7 @@ struct TxnRow {
     neg_union: u64,
 }
 
-/// A speculative write overlay over a frozen [`TableView`].
+/// A recording write overlay over a frozen [`TableView`].
 ///
 /// Reads fall through to the base until the transaction first writes a row,
 /// at which point the base row is cloned into the overlay (recording a
@@ -411,7 +349,7 @@ struct TxnRow {
 /// which is exactly the insertion order a serial replay of the write log
 /// produces.
 pub struct TableTxn<'b> {
-    base: &'b (dyn TableView + Sync),
+    base: &'b dyn TableView,
     /// [`TableView::column_bound`] of the base at creation time.
     base_bound: u64,
     /// Column cubes this transaction created, in first-write order.
@@ -422,10 +360,9 @@ pub struct TableTxn<'b> {
     /// recorded and no row is fingerprinted, because the log of such an
     /// overlay is only spliced (writes), never validated.
     record_reads: bool,
-    /// Content-based read dependencies. Behind a mutex because sibling child
-    /// transactions read through a shared `&TableTxn` from their worker
-    /// threads.
-    reads: Mutex<ReadSet>,
+    /// Content-based read dependencies. Behind a `RefCell` because reads
+    /// record through `&self`.
+    reads: RefCell<ReadSet>,
     /// Chronological write log, replayed by [`TxnLog::commit_into`].
     writes: Vec<Write>,
 }
@@ -436,14 +373,14 @@ impl<'b> TableTxn<'b> {
     /// its log is validated against it — the read set records observations at
     /// first touch.
     #[must_use]
-    pub fn new(base: &'b (dyn TableView + Sync)) -> Self {
+    pub fn new(base: &'b dyn TableView) -> Self {
         Self {
             base_bound: base.column_bound(),
             base,
             new_columns: Vec::new(),
             rows: Vec::new(),
             record_reads: true,
-            reads: Mutex::new(ReadSet::default()),
+            reads: RefCell::new(ReadSet::default()),
             writes: Vec::new(),
         }
     }
@@ -454,17 +391,18 @@ impl<'b> TableTxn<'b> {
     /// overlay only has to answer reads consistently — base plus the writes
     /// committed into it so far — while its own log is never validated, so
     /// fingerprinting rows and noting probes would be pure overhead. Its
-    /// [`TxnLog::validate`] trivially succeeds; never use it for speculation.
+    /// [`TxnLog::validate`] trivially succeeds; never use it for a log that
+    /// is replayed later.
     #[must_use]
-    pub fn readless(base: &'b (dyn TableView + Sync)) -> Self {
+    pub fn readless(base: &'b dyn TableView) -> Self {
         Self {
             record_reads: false,
             ..Self::new(base)
         }
     }
 
-    fn reads(&self) -> std::sync::MutexGuard<'_, ReadSet> {
-        self.reads.lock().expect("transaction read set poisoned")
+    fn reads(&self) -> RefMut<'_, ReadSet> {
+        self.reads.borrow_mut()
     }
 
     /// Records a scan dependency on the base row of `job`, fingerprinting it
@@ -518,10 +456,7 @@ impl<'b> TableTxn<'b> {
     #[must_use]
     pub fn into_log(self) -> TxnLog {
         TxnLog {
-            reads: self
-                .reads
-                .into_inner()
-                .expect("transaction read set poisoned"),
+            reads: self.reads.into_inner(),
             new_columns: self.new_columns,
             writes: self.writes,
         }
@@ -579,10 +514,6 @@ impl TableView for TableTxn<'_> {
         time: Time,
         resource: Option<PeId>,
     ) -> Option<Time> {
-        // The speculative overlay write is a scheduling point: it is where
-        // an explored interleaving can squeeze sibling work between a
-        // branch's read of the base and its buffered write.
-        race_hooks::yield_spec_write();
         let key = self.key_or_insert(column);
         let at = match self.rows.binary_search_by_key(&job, |row| row.job) {
             Ok(at) => at,
@@ -823,22 +754,13 @@ impl TxnLog {
         self.writes.iter().map(|write| write.column)
     }
 
-    /// `true` when the speculation still holds against `base`: every point
-    /// probe would observe the value it recorded, every scanned row still
+    /// `true` when the log still holds against `base`: every point probe
+    /// would observe the value it recorded, every scanned row still
     /// fingerprints to the recorded content, and no column the transaction
     /// created has meanwhile been created in the base (which would give the
-    /// replayed entries a different global order than the speculation
-    /// assumed).
+    /// replayed entries a different global order than the transaction saw).
     #[must_use]
     pub fn validate<V: TableView + ?Sized>(&self, base: &V) -> bool {
-        race_hooks::yield_validate();
-        self.holds_against(base)
-    }
-
-    /// The validation predicate itself, shared between [`TxnLog::validate`]
-    /// (which adds the race-check scheduling point) and the commit hook's
-    /// re-validation (which must not yield again mid-commit).
-    fn holds_against<V: TableView + ?Sized>(&self, base: &V) -> bool {
         self.reads
             .time_probes
             .iter()
@@ -859,13 +781,10 @@ impl TxnLog {
                 .all(|column| !base.has_column(column))
     }
 
-    /// Replays the buffered writes into `base` in their original order.
-    ///
-    /// Callers decide the policy: a forward-branch log commits
-    /// unconditionally (its snapshot was the serial state), a back-branch
-    /// log only after [`TxnLog::validate`].
+    /// Replays the buffered writes into `base` write by write, in their
+    /// original order. Callers decide whether to [`validate`](Self::validate)
+    /// first.
     pub fn commit_into<V: TableView + ?Sized>(&self, base: &mut V) {
-        commit_hook(base, self, "TxnLog::commit_into");
         for write in &self.writes {
             base.set_on(write.job, write.column, write.time, write.resource);
         }
@@ -921,7 +840,7 @@ mod tests {
     fn reads_fall_through_and_writes_overlay() {
         let mut table = ScheduleTable::new();
         table.set_on(p(1), Cube::top(), Time::new(4), Some(PeId::from_index(0)));
-        let base: &(dyn TableView + Sync) = &table;
+        let base: &dyn TableView = &table;
         let mut txn = TableTxn::new(base);
         // Read-through.
         assert_eq!(txn.get(p(1), &Cube::top()), Some(Time::new(4)));
@@ -957,7 +876,7 @@ mod tests {
     fn readless_overlays_record_no_dependencies_and_always_validate() {
         let mut table = ScheduleTable::new();
         table.set_on(p(1), Cube::top(), Time::new(4), Some(PeId::from_index(0)));
-        let base: &(dyn TableView + Sync) = &table;
+        let base: &dyn TableView = &table;
         let mut txn = TableTxn::readless(base);
         // Reads answer exactly like a recording overlay would...
         assert_eq!(txn.get(p(1), &Cube::top()), Some(Time::new(4)));
@@ -975,7 +894,7 @@ mod tests {
         // A recording overlay with the same history catches the change.
         let mut other = ScheduleTable::new();
         other.set_on(p(1), Cube::top(), Time::new(4), Some(PeId::from_index(0)));
-        let base: &(dyn TableView + Sync) = &other;
+        let base: &dyn TableView = &other;
         let txn = TableTxn::new(base);
         assert_eq!(txn.get(p(1), &Cube::top()), Some(Time::new(4)));
         let recorded = txn.into_log();
@@ -991,7 +910,7 @@ mod tests {
         let mut table = ScheduleTable::new();
         table.set(p(1), Cube::top(), Time::new(0));
         table.set(p(1), cube_t(0), Time::new(1));
-        let base: &(dyn TableView + Sync) = &table;
+        let base: &dyn TableView = &table;
         let mut txn = TableTxn::new(base);
         txn.set_on(p(1), cube_t(1), Time::new(2), None);
         txn.set_on(p(1), cube_f(1), Time::new(3), None);
@@ -1009,7 +928,7 @@ mod tests {
     fn validation_is_per_cell_and_content_based() {
         let mut table = ScheduleTable::new();
         table.set(p(1), Cube::top(), Time::new(0));
-        let base: &(dyn TableView + Sync) = &table;
+        let base: &dyn TableView = &table;
         let txn = TableTxn::new(base);
         // A point probe (even of an absent cell) is a dependency on that
         // cell's content.
@@ -1017,8 +936,8 @@ mod tests {
         assert_eq!(txn.get(p(2), &Cube::top()), None);
         let log = txn.into_log();
         assert!(log.validate(&table));
-        // A sibling writing a *different* cell of a probed row no longer
-        // discards the speculation (the old per-row versions did).
+        // Writing a *different* cell of a probed row keeps the log valid
+        // (per-row write versions would not).
         table.set(p(2), cube_t(0), Time::new(5));
         assert!(log.validate(&table));
         // Neither does rewriting a probed cell with the same value.
@@ -1033,7 +952,7 @@ mod tests {
     fn validation_fails_when_a_probed_absent_cell_appears() {
         let mut table = ScheduleTable::new();
         table.set(p(1), Cube::top(), Time::new(0));
-        let base: &(dyn TableView + Sync) = &table;
+        let base: &dyn TableView = &table;
         let txn = TableTxn::new(base);
         assert_eq!(txn.get(p(2), &Cube::top()), None);
         let log = txn.into_log();
@@ -1046,7 +965,7 @@ mod tests {
     fn validation_fails_when_a_scanned_row_gains_an_entry() {
         let mut table = ScheduleTable::new();
         table.set(p(1), Cube::top(), Time::new(0));
-        let base: &(dyn TableView + Sync) = &table;
+        let base: &dyn TableView = &table;
         let txn = TableTxn::new(base);
         let mut seen = 0;
         txn.for_each_entry_on(p(1), &mut |_, _, _| seen += 1);
@@ -1065,15 +984,15 @@ mod tests {
     fn validation_fails_when_a_sibling_creates_the_same_column() {
         let mut table = ScheduleTable::new();
         table.set(p(1), Cube::top(), Time::new(0));
-        let base: &(dyn TableView + Sync) = &table;
+        let base: &dyn TableView = &table;
         let mut txn = TableTxn::new(base);
         // The txn creates column c0 and only touches row p(2).
         txn.set_on(p(2), cube_t(0), Time::new(3), None);
         let log = txn.into_log();
         assert!(log.validate(&table));
-        // A sibling creates the *same* column in a row the txn never read:
-        // no row version the txn saw changed, but the global column order
-        // now differs from what the speculation assumed.
+        // The base gains the *same* column in a row the txn never read: no
+        // row the txn saw changed, but the global column order now differs
+        // from what the txn assumed.
         table.set(p(3), cube_t(0), Time::new(8));
         assert!(!log.validate(&table));
     }
@@ -1082,17 +1001,16 @@ mod tests {
     fn nested_transactions_layer_and_conflict_like_flat_ones() {
         let mut table = ScheduleTable::new();
         table.set(p(1), Cube::top(), Time::new(0));
-        let base: &(dyn TableView + Sync) = &table;
+        let base: &dyn TableView = &table;
         let mut outer = TableTxn::new(base);
         outer.set_on(p(2), cube_t(0), Time::new(2), None);
 
-        // Inner forward/back pair over the frozen outer txn.
-        let frozen: &(dyn TableView + Sync) = &outer;
+        // Two inner transactions over the frozen outer txn.
+        let frozen: &dyn TableView = &outer;
         let mut inner_fwd = TableTxn::new(frozen);
         let inner_back = TableTxn::new(frozen);
         inner_fwd.set_on(p(2), cube_t(1), Time::new(4), None);
-        // The back speculation probes the very cell the forward branch
-        // writes.
+        // The second probes the very cell the first writes.
         assert_eq!(inner_back.get(p(2), &cube_t(1)), None);
         let fwd_log = inner_fwd.into_log();
         let back_log = inner_back.into_log();
@@ -1102,8 +1020,8 @@ mod tests {
             "conflicting read must invalidate"
         );
 
-        // An independent back speculation survives the same commit.
-        let frozen: &(dyn TableView + Sync) = &outer;
+        // An independent inner log survives the same commit.
+        let frozen: &dyn TableView = &outer;
         let clean = TableTxn::new(frozen);
         assert_eq!(clean.get(p(1), &Cube::top()), Some(Time::new(0)));
         let clean_log = clean.into_log();
@@ -1132,7 +1050,7 @@ mod tests {
         let mut spliced = seed.clone();
         let mut replayed = seed.clone();
 
-        let base: &(dyn TableView + Sync) = &seed;
+        let base: &dyn TableView = &seed;
         let mut txn = TableTxn::new(base);
         // Fresh columns, an overwrite of a retained column, and an
         // interleaved second fresh column exercise the graft/renumber path.
@@ -1171,7 +1089,7 @@ mod tests {
     fn row_version_of_a_txn_reflects_its_own_writes() {
         let mut table = ScheduleTable::new();
         table.set(p(1), Cube::top(), Time::new(0));
-        let base: &(dyn TableView + Sync) = &table;
+        let base: &dyn TableView = &table;
         let mut txn = TableTxn::new(base);
         assert_eq!(TableView::row_version(&txn, p(1)), 1);
         txn.set_on(p(1), cube_t(0), Time::new(3), None);

@@ -10,31 +10,27 @@
 //! storms, degraded outcomes, typed rejections), not stored failures —
 //! a healthy tree passes every oracle on all of them. The sabotage tests
 //! then flip one protocol switch at a time and assert the battery still
-//! notices, so a green corpus run cannot be a vacuous oracle.
+//! notices, so a green corpus run cannot be a vacuous oracle. The switches
+//! are scoped to the thread that engages them, so the sabotage tests run
+//! alongside the green replays without a lock, and
+//! [`sabotage_on_one_thread_leaves_a_concurrent_replay_green`] pins that.
 //!
 //! The CI matrix re-runs this suite under `CPG_MERGE_THREADS={1,4}`; the
 //! oracles pin their thread counts explicitly, and
 //! [`default_config_matches_the_pinned_baseline`] checks the env-driven
 //! default against the pinned single-threaded merge.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::Barrier;
 
 use cpg_fuzz::corpus::{encode_entry, parse_entry};
 use cpg_fuzz::oracle::divergence;
-use cpg_fuzz::{run_oracles, shrink_preserving_signature, FuzzConfig, OracleFailure, OracleKind};
+use cpg_fuzz::{
+    run_oracles, shrink_preserving_signature, FuzzConfig, OracleFailure, OracleKind, Signature,
+};
 use cpg_gen::Workload;
 use cpg_merge::{generate_schedule_table, sabotage, MergeConfig};
-
-/// Serializes the sabotage tests: the switches are process-global state, and
-/// an engaged saboteur would corrupt a concurrently running replay.
-static SABOTAGE_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    SABOTAGE_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/adversarial")
@@ -63,11 +59,10 @@ fn load_corpus() -> Vec<(PathBuf, Workload)> {
 }
 
 /// Runs the corpus under an engaged saboteur, returning every (entry name,
-/// failure) pair the battery reports. The default panic hook is silenced
-/// while the saboteur is live so intentional panics don't spam the test log.
+/// failure) pair the battery reports. The process-wide panic hook is left
+/// alone: the panics a saboteur provokes print into this test's captured
+/// output, and a test failing at the same time still prints its reason.
 fn run_sabotaged(engage: impl Fn() -> Box<dyn std::any::Any>) -> Vec<(String, OracleFailure)> {
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let mut caught = Vec::new();
     for (path, workload) in load_corpus() {
         let Ok(system) = workload.materialize() else {
@@ -81,7 +76,6 @@ fn run_sabotaged(engage: impl Fn() -> Box<dyn std::any::Any>) -> Vec<(String, Or
             caught.push((name, failure));
         }
     }
-    std::panic::set_hook(hook);
     caught
 }
 
@@ -101,11 +95,12 @@ fn assert_caught_by(caught: &[(String, OracleFailure)], oracle: OracleKind, muta
     println!("{mutant} caught by {oracle} on {name}: {failure}");
 }
 
-#[test]
-fn banked_corpus_replays_green_with_distinct_behaviors() {
-    let corpus = load_corpus();
-    let mut signatures = std::collections::HashSet::new();
-    for (path, workload) in &corpus {
+/// Replays every banked entry through the oracle battery, panicking with the
+/// entry's path and the oracle's message on the first failure, and returns
+/// the distinct behavior signatures seen.
+fn replay_green() -> HashSet<Signature> {
+    let mut signatures = HashSet::new();
+    for (path, workload) in &load_corpus() {
         let system = workload
             .materialize()
             .unwrap_or_else(|error| panic!("{}: does not materialize: {error}", path.display()));
@@ -130,6 +125,12 @@ fn banked_corpus_replays_green_with_distinct_behaviors() {
         }
         signatures.insert(vector.signature());
     }
+    signatures
+}
+
+#[test]
+fn banked_corpus_replays_green_with_distinct_behaviors() {
+    let signatures = replay_green();
     assert!(
         signatures.len() >= 8,
         "the corpus must cover at least 8 distinct behavior signatures, got {}",
@@ -167,21 +168,18 @@ fn default_config_matches_the_pinned_baseline() {
 
 #[test]
 fn injected_walk_panic_is_caught_by_the_no_panic_oracle() {
-    let _lock = lock();
     let caught = run_sabotaged(|| Box::new(sabotage::InjectWalkPanic::engage()));
     assert_caught_by(&caught, OracleKind::NoPanic, "inject-walk-panic");
 }
 
 #[test]
 fn dirty_lock_reuse_is_caught_by_the_cloning_oracle() {
-    let _lock = lock();
     let caught = run_sabotaged(|| Box::new(sabotage::DirtyLockReuse::engage()));
     assert_caught_by(&caught, OracleKind::CloningWalk, "dirty-lock-reuse");
 }
 
 #[test]
 fn skipped_slip_repair_is_caught_by_the_realizability_oracle() {
-    let _lock = lock();
     let caught = run_sabotaged(|| Box::new(sabotage::SkipSlipRepair::engage()));
     assert_caught_by(
         &caught,
@@ -191,15 +189,46 @@ fn skipped_slip_repair_is_caught_by_the_realizability_oracle() {
 }
 
 #[test]
-fn skipped_back_validation_is_caught_by_the_thread_identity_oracle() {
-    let _lock = lock();
-    let caught = run_sabotaged(|| Box::new(sabotage::SkipBackValidation::engage()));
-    assert_caught_by(&caught, OracleKind::ThreadIdentity, "skip-back-validation");
+fn sabotage_on_one_thread_leaves_a_concurrent_replay_green() {
+    // The saboteur keeps `DirtyLockReuse` engaged for the whole of the other
+    // thread's replay: it engages, releases the replay, runs its own
+    // sabotaged corpus pass, and disengages only after the replay finished.
+    // A switch visible beyond its own thread would corrupt the replay.
+    let engaged = Barrier::new(2);
+    let replayed = Barrier::new(2);
+    let (caught, signatures) = std::thread::scope(|scope| {
+        let saboteur = scope.spawn(|| {
+            let guard = sabotage::DirtyLockReuse::engage();
+            engaged.wait();
+            // Either side reaches the second barrier even if its pass
+            // panics, so the scope joins and reports the panic instead of
+            // hanging.
+            let caught = std::panic::catch_unwind(|| run_sabotaged(|| Box::new(())));
+            replayed.wait();
+            drop(guard);
+            caught.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        let replay = scope.spawn(|| {
+            engaged.wait();
+            let outcome = std::panic::catch_unwind(replay_green);
+            replayed.wait();
+            outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        (
+            saboteur
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            replay
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+        )
+    });
+    assert!(signatures.len() >= 8);
+    assert_caught_by(&caught, OracleKind::CloningWalk, "dirty-lock-reuse");
 }
 
 #[test]
 fn skipped_entry_validation_is_caught_by_the_no_panic_net() {
-    let _lock = lock();
     // Every pathological system the corpus carries panics the merge once
     // `validate_system` is skipped — the typed rejection is precisely the
     // panic barrier, so removing it is caught by the no-panic oracle (the
@@ -210,7 +239,6 @@ fn skipped_entry_validation_is_caught_by_the_no_panic_net() {
 
 #[test]
 fn skipped_splice_validation_is_caught_by_the_warm_vs_cold_oracle() {
-    let _lock = lock();
     // Splice validation only matters on a warm session replaying edits, and
     // signature-preserving shrinking strips edits from banked entries (the
     // signature is a function of the unedited baseline), so this mutant
